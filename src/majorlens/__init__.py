@@ -24,6 +24,9 @@ from .entropy import (
     entropy,
     f_eval,
     log_cosh_kernel,
+    peaked_differences,
+    probabilities,
+    tsallis_differences,
     tsallis_q2_limit_check,
 )
 from .families import (

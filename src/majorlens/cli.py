@@ -18,8 +18,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import criteria, families, scan
-from .bipartite import BipartiteDensity
-from .entropy import EntropicFamily, conditional
+from .bipartite import BipartiteDensity, partial_trace
+from .entropy import EntropicFamily, conditional_from_spectra
+from .hermitian import eigenvalues
 
 
 def _parse_family(tokens: list[str], symmetric: bool) -> families.FamilySpec:
@@ -71,12 +72,17 @@ def _options_from_args(args) -> scan.ScanOptions:
         qhi = args.qmax if args.qmax is not None else criteria.DEFAULT_Q_BOUNDS[1]
         qn = args.qpoints if args.qpoints is not None else criteria.DEFAULT_Q_POINTS
         q_grid = np.geomspace(qlo, qhi, qn)
+    tol = getattr(args, "tol", None)
+    if tol is None:
+        tol = criteria.MAJORIZATION_TOL
+    elif not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"majorization tol must be finite and >= 0, got {tol!r}")
     return scan.ScanOptions(
         side=args.side,
         q_grid=q_grid,
         alphas=_float_list(args.alphas) if args.alphas else None,
         ts=_float_list(args.ts) if args.ts else None,
-        majorization_tol=getattr(args, "tol", None) or criteria.MAJORIZATION_TOL,
+        majorization_tol=tol,
     )
 
 
@@ -90,12 +96,23 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[list[tuple[str, str, str]], bool]:
-    """Criterion table rows (name, verdict, detail) and overall certification."""
+    """Criterion table rows (name, verdict, detail) and overall certification.
+
+    The full and both reduced spectra are computed once and shared by every
+    spectral criterion.
+    """
     smallest_pt = criteria.peres_check(rho)
-    rep_a, rep_b = criteria.disorder_check(rho, options.majorization_tol)
-    vn = conditional(EntropicFamily.von_neumann(), rho, options.side)
-    ts = criteria.tsallis_sweep(rho, options.side, options.q_grid)
-    pk = criteria.peaked_search(rho, options.side, options.alphas, options.ts)
+    full = eigenvalues(rho.op)
+    reduced = {side: eigenvalues(partial_trace(rho, side)) for side in ("A", "B")}
+    rep_a, rep_b = (
+        criteria.majorization_compare(full, reduced[side], side, options.majorization_tol)
+        for side in ("A", "B")
+    )
+    red = reduced[options.side]
+    vn = conditional_from_spectra(EntropicFamily.von_neumann(), full, red, options.side)
+    ts = criteria.tsallis_sweep_spectra(full, red, options.side, options.q_grid)
+    alphas = criteria.recommended_alphas(red) if options.alphas is None else options.alphas
+    pk = criteria.peaked_search_spectra(full, red, alphas, options.ts, options.side)
 
     rows = []
     rows.append((
@@ -221,14 +238,11 @@ def _cmd_threshold(args) -> int:
     if args.range:
         lo, hi, _ = _parse_range(args.range + ":2") if args.range.count(":") == 1 else _parse_range(args.range)
         ray = scan.RaySpec(ray.d, ray.n, ray.origin, ray.direction, lo, hi, ray.exchange)
-    # --tol here is the bisection width, not the majorization comparison tol
-    options = replace(_options_from_args(args),
-                      majorization_tol=criteria.MAJORIZATION_TOL)
-    value = scan.bisect_threshold(ray, args.criterion, options, tol=args.tol)
+    value = scan.bisect_threshold(ray, args.criterion, _options_from_args(args), tol=args.width)
     if value is None:
         _emit([f"criterion {args.criterion}: no threshold on the ray"], args.out)
     else:
-        _emit([f"criterion {args.criterion}: threshold = {value:.6f} (+- {args.tol:g})"], args.out)
+        _emit([f"criterion {args.criterion}: threshold = {value:.6f} (+- {args.width:g})"], args.out)
     return 0
 
 
@@ -295,7 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--range", default=None, help="ray parameter range lo:hi")
     p_th.add_argument("--criterion", required=True,
                       choices=("peres", "disorder", "vn", "tsallis", "peaked"))
-    p_th.add_argument("--tol", type=float, default=scan.BISECT_TOL)
+    # stored as "width": this --tol is the bisection width, not the majorization
+    # comparison tol that _options_from_args reads from args.tol
+    p_th.add_argument("--tol", dest="width", type=float, default=scan.BISECT_TOL,
+                      help="bisection width")
     p_th.set_defaults(fn=_cmd_threshold)
 
     p_cu = sub.add_parser("curve", help="detector response along q, t or alpha")

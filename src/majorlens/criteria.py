@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteDensity, partial_trace, partial_transpose
-from .entropy import EntropicFamily, conditional_from_spectra
+from .entropy import peaked_differences, probabilities, tsallis_differences
 from .hermitian import Spectrum, eigenvalues
 
 MAJORIZATION_TOL = 1e-10
@@ -98,20 +98,30 @@ def peres_check(rho: BipartiteDensity) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(rho).mat)[0])
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi] to bracket width tol."""
-    a, b = lo, hi
+def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima of fn on every bracket [lo_j, hi_j], in lockstep.
+
+    ``fn`` maps an array of points to their values. Each bracket shrinks as
+    a search on its own would, until its width is <= tol, and fn is called
+    once per iteration on the new points of the brackets still open.
+    """
+    a, b = lo.copy(), hi.copy()
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
+    fc, fd = np.split(fn(np.concatenate((c, d))), 2)
+    open_ = np.nonzero((b - a) > tol)[0]
+    while open_.size:
+        aj, bj, cj, dj = a[open_], b[open_], c[open_], d[open_]
+        fcj, fdj = fc[open_], fd[open_]
+        left = fcj < fdj
+        # keep [a, d] when f(c) < f(d), else [c, b]; one interior point survives
+        bj, aj = np.where(left, dj, bj), np.where(left, aj, cj)
+        kept, f_kept = np.where(left, cj, dj), np.where(left, fcj, fdj)
+        new = np.where(left, bj - _INVPHI * (bj - aj), aj + _INVPHI * (bj - aj))
+        f_new = fn(new)
+        a[open_], b[open_] = aj, bj
+        c[open_], d[open_] = np.where(left, new, kept), np.where(left, kept, new)
+        fc[open_], fd[open_] = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
+        open_ = open_[(bj - aj) > tol]
     mid = 0.5 * (a + b)
     return mid, fn(mid)
 
@@ -128,26 +138,26 @@ def tsallis_sweep_spectra(
 
     Samples the grid, then golden-refines around every sampled local minimum
     (dips narrower than the grid spacing would otherwise be missed near
-    detection onsets) and reports the deepest point found.
+    detection onsets) and reports the deepest point found: the grid minimum,
+    or else the first refinement, in grid order, that is strictly deeper.
     """
     qs = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
-
-    def diff_at(q: float) -> float:
-        fam = EntropicFamily.tsallis(q)
-        return conditional_from_spectra(fam, full, reduced, side).difference
-
-    vals = np.array([diff_at(q) for q in qs])
-    best_q, best_v = float(qs[np.argmin(vals)]), float(np.min(vals))
+    p_full, p_reduced = probabilities(full), probabilities(reduced)
+    vals = tsallis_differences(p_full, p_reduced, qs)
+    best = int(np.argmin(vals))
+    best_q, best_v = float(qs[best]), float(vals[best])
+    left = np.concatenate(([np.inf], vals[:-1]))
+    right = np.concatenate((vals[1:], [np.inf]))
+    minima = np.nonzero((vals <= left) & (vals <= right))[0]
     log_qs = np.log(qs)
-    for i in range(qs.size):
-        left = vals[i - 1] if i > 0 else np.inf
-        right = vals[i + 1] if i < qs.size - 1 else np.inf
-        if vals[i] <= left and vals[i] <= right:
-            lo = log_qs[max(0, i - 1)]
-            hi = log_qs[min(qs.size - 1, i + 1)]
-            qm, vm = _golden_min(lambda lq: diff_at(math.exp(lq)), lo, hi, refine_tol)
-            if vm < best_v:
-                best_q, best_v = math.exp(qm), vm
+    lo = log_qs[np.maximum(minima - 1, 0)]
+    hi = log_qs[np.minimum(minima + 1, qs.size - 1)]
+    log_q_min, v_min = _golden_min(
+        lambda lq: tsallis_differences(p_full, p_reduced, np.exp(lq)), lo, hi, refine_tol
+    )
+    for lq, v in zip(log_q_min, v_min):
+        if v < best_v:
+            best_q, best_v = math.exp(lq), float(v)
     return DetectionVerdict(best_v < threshold, {"q": best_q}, best_v)
 
 
@@ -200,22 +210,20 @@ def peaked_search_spectra(
     """Evaluate the peaked conditional difference over the (alpha, t) lattice.
 
     The witness is the first cell below threshold in (alpha-major, t-minor)
-    order; the margin is the most negative value over the whole lattice.
+    order, or the deepest cell when none is; the margin is the most negative
+    value over the whole lattice.
     """
-    ts = DEFAULT_T_SCHEDULE if ts is None else tuple(ts)
-    witness = None
-    margin = np.inf
-    margin_cell = None
-    for a in alphas:
-        for t in ts:
-            fam = EntropicFamily.peaked(a, t)
-            diff = conditional_from_spectra(fam, full, reduced, side).difference
-            if diff < margin:
-                margin, margin_cell = diff, {"alpha": float(a), "t": float(t)}
-            if witness is None and diff < threshold:
-                witness = {"alpha": float(a), "t": float(t)}
+    alphas = np.asarray(tuple(alphas), dtype=float)
+    ts = np.asarray(DEFAULT_T_SCHEDULE if ts is None else tuple(ts), dtype=float)
+    diffs = peaked_differences(probabilities(full), probabilities(reduced), alphas, ts).ravel()
+    if diffs.size == 0:
+        return DetectionVerdict(False, None, math.inf)
+    deepest = int(np.argmin(diffs))
+    margin = float(diffs[deepest])
     detected = margin < threshold
-    return DetectionVerdict(detected, witness if detected else margin_cell, float(margin))
+    cell = int(np.argmax(diffs < threshold)) if detected else deepest
+    i, k = divmod(cell, ts.size)
+    return DetectionVerdict(detected, {"alpha": float(alphas[i]), "t": float(ts[k])}, margin)
 
 
 def peaked_search(

@@ -49,6 +49,30 @@ def log_cosh_kernel(x, t: float) -> np.ndarray:
     return -_log_cosh(t * np.asarray(x, dtype=float)) / (2.0 * t)
 
 
+def _tsallis_q(q) -> np.ndarray:
+    """Tsallis indices as an array; every one must be finite and > 0."""
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q) & (q > 0.0)):
+        raise ValueError("tsallis requires finite q > 0")
+    return q
+
+
+def _peak_alpha(alpha) -> np.ndarray:
+    """Peak locations as an array; every one must lie in [0, 1]."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
+        raise ValueError("peaked families require 0 <= alpha <= 1")
+    return alpha
+
+
+def _peak_t(t) -> np.ndarray:
+    """Peak sharpness values as an array; every one must be finite and > 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise ValueError("peaked requires finite t > 0")
+    return t
+
+
 @dataclass(frozen=True)
 class EntropicFamily:
     """Descriptor of one concave f. Use the classmethod constructors."""
@@ -61,15 +85,13 @@ class EntropicFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown entropy kind {self.kind!r}")
+        # the array checks read a missing parameter (None) as NaN and reject it
         if self.kind == "tsallis":
-            if self.q is None or self.q <= 0:
-                raise ValueError("tsallis requires q > 0")
+            _tsallis_q(self.q)
         if self.kind in ("peaked", "peaked_limit"):
-            if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
-                raise ValueError("peaked families require 0 <= alpha <= 1")
+            _peak_alpha(self.alpha)
         if self.kind == "peaked":
-            if self.t is None or self.t <= 0:
-                raise ValueError("peaked requires t > 0")
+            _peak_t(self.t)
 
     @classmethod
     def von_neumann(cls) -> "EntropicFamily":
@@ -116,26 +138,49 @@ def f_eval(family: EntropicFamily, p):
     return out
 
 
+def _von_neumann_terms(p: np.ndarray) -> np.ndarray:
+    """-p ln p for clipped p, with 0 ln 0 = 0."""
+    positive = p > 0.0
+    safe = np.where(positive, p, 1.0)
+    return -safe * np.log(safe) * positive
+
+
+def _tsallis_terms(q, p: np.ndarray) -> np.ndarray:
+    """f_q(p) = (p - p^q)/(q - 1) for clipped p, broadcasting q against p.
+
+    q = 1 gives the von Neumann term -p ln p. Within 1e-6 of q = 1 the
+    difference p - p^q cancels, so those q use -p expm1((q-1) ln p)/(q-1).
+    """
+    qm1 = q - 1.0
+    near = np.abs(qm1) < 1e-6
+    if not near.any():
+        return (p - p**q) / qm1
+    exact = qm1 == 0.0
+    positive = p > 0.0
+    safe = np.where(positive, p, 1.0)
+    series = -safe * np.expm1(qm1 * np.log(safe)) / np.where(exact, 1.0, qm1) * positive
+    small = np.where(exact, _von_neumann_terms(p), series)
+    if near.all():
+        return small
+    return np.where(near, small, (p - p**q) / np.where(near, 1.0, qm1))
+
+
+def _peaked_terms(alpha: np.ndarray, t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Peaked-family f(p) for clipped p, broadcasting alpha, t and p."""
+    return (
+        log_cosh_kernel(p - alpha, t)
+        - (1.0 - p) * log_cosh_kernel(-alpha, t)
+        - p * log_cosh_kernel(1.0 - alpha, t)
+    )
+
+
 def _f_eval_clipped(family: EntropicFamily, arr: np.ndarray) -> np.ndarray:
     if family.kind == "von_neumann":
-        safe = np.where(arr > 0.0, arr, 1.0)
-        return -safe * np.log(safe) * (arr > 0.0)
+        return _von_neumann_terms(arr)
     if family.kind == "tsallis":
-        q = family.q
-        if q == 1.0:
-            return _f_eval_clipped(EntropicFamily.von_neumann(), arr)
-        if abs(q - 1.0) < 1e-6:
-            # p - p^q cancels near q = 1; rewrite via expm1((q-1) ln p)
-            safe = np.where(arr > 0.0, arr, 1.0)
-            return -safe * np.expm1((q - 1.0) * np.log(safe)) / (q - 1.0) * (arr > 0.0)
-        return (arr - arr**q) / (q - 1.0)
+        return _tsallis_terms(family.q, arr)
     if family.kind == "peaked":
-        a, t = family.alpha, family.t
-        return (
-            log_cosh_kernel(arr - a, t)
-            - (1.0 - arr) * log_cosh_kernel(-a, t)
-            - arr * log_cosh_kernel(1.0 - a, t)
-        )
+        return _peaked_terms(family.alpha, family.t, arr)
     # peaked_limit: collapses to 0 identically at alpha in {0, 1}
     a = family.alpha
     if a == 0.0 or a == 1.0:
@@ -143,15 +188,44 @@ def _f_eval_clipped(family: EntropicFamily, arr: np.ndarray) -> np.ndarray:
     return np.where(arr <= a, arr * (1.0 - a), a * (1.0 - arr))
 
 
-def entropy(family: EntropicFamily, spectrum: Spectrum) -> float:
-    """S_f = sum_i f(p_i) over a density spectrum (zero eigenvalues allowed)."""
+def probabilities(spectrum: Spectrum) -> np.ndarray:
+    """The eigenvalues of a density spectrum, checked and clipped to [0, 1].
+
+    The spectrum must sum to 1 and have no weight below -SUM_TOL; the
+    batched kernels below take their spectra in this form.
+    """
     values = spectrum.values
     if abs(spectrum.trace - 1.0) > SUM_TOL:
         raise ValueError(f"spectrum sums to {spectrum.trace!r}, expected 1")
     if values[-1] < -SUM_TOL:
         raise ValueError(f"spectrum has negative weight {values[-1]!r}")
-    values = np.clip(values, 0.0, 1.0)
-    return float(np.sum(_f_eval_clipped(family, values)))
+    return np.clip(values, 0.0, 1.0)
+
+
+def tsallis_differences(full: np.ndarray, reduced: np.ndarray, qs) -> np.ndarray:
+    """S_q(full) - S_q(reduced) for every q of ``qs``, shape (K,).
+
+    ``full`` and ``reduced`` are spectra in the form ``probabilities``
+    returns. Every q must be finite and > 0.
+    """
+    terms = _tsallis_terms(_tsallis_q(qs)[:, None], np.concatenate((full, reduced)))
+    return terms[:, :full.size].sum(axis=-1) - terms[:, full.size:].sum(axis=-1)
+
+
+def peaked_differences(full: np.ndarray, reduced: np.ndarray, alphas, ts) -> np.ndarray:
+    """S_peaked(full) - S_peaked(reduced) on the (alpha, t) lattice, shape (A, T).
+
+    ``full`` and ``reduced`` are spectra in the form ``probabilities``
+    returns. Every alpha must lie in [0, 1], every t be finite and > 0.
+    """
+    terms = _peaked_terms(_peak_alpha(alphas)[:, None, None], _peak_t(ts)[None, :, None],
+                          np.concatenate((full, reduced)))
+    return terms[..., :full.size].sum(axis=-1) - terms[..., full.size:].sum(axis=-1)
+
+
+def entropy(family: EntropicFamily, spectrum: Spectrum) -> float:
+    """S_f = sum_i f(p_i) over a density spectrum (zero eigenvalues allowed)."""
+    return float(np.sum(_f_eval_clipped(family, probabilities(spectrum))))
 
 
 @dataclass(frozen=True)

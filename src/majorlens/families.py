@@ -12,6 +12,7 @@ complement, and every detection threshold along the standard rays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class FamilySpec:
         x = tuple(float(v) for v in np.atleast_1d(np.asarray(self.x, dtype=float)))
         if not 1 <= len(x) <= self.d - 1:
             raise ValueError(f"need 1 <= n <= d-1 weights, got n={len(x)} for d={self.d}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"weights must be finite, got {x}")
         if self.exchange not in _EXCHANGES:
             raise ValueError(f"exchange must be one of {_EXCHANGES}")
         object.__setattr__(self, "x", x)

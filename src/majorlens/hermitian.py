@@ -20,8 +20,8 @@ class NotHermitianError(ValueError):
 class HermitianOperator:
     """A validated D x D complex Hermitian matrix.
 
-    The matrix is checked entrywise against its conjugate transpose on
-    construction (absolute tolerance ``HERMITICITY_TOL``) and stored
+    The matrix must be finite and is checked entrywise against its conjugate
+    transpose on construction (absolute tolerance ``HERMITICITY_TOL``) and stored
     read-only; all operations on it are pure.
     """
 
@@ -33,6 +33,8 @@ class HermitianOperator:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         if mat.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix has non-finite entries")
         dev = np.abs(mat - mat.conj().T)
         worst = np.unravel_index(np.argmax(dev), dev.shape)
         if dev[worst] > HERMITICITY_TOL:

@@ -1,8 +1,7 @@
 """Region scanning, threshold bisection, curve sweeps and area fractions.
 
-Grid points are classified independently (optionally across threads, capped
-by the MAJORLENS_THREADS environment variable) and assembled in row-major
-order, so repeated scans are byte-identical.
+Grid points are classified one after another in row-major order, so
+repeated scans are byte-identical.
 
 Sector labels are derived, not drawn: "outside" (positivity violated),
 "separable" (partial transpose PSD), "entangled" (negative PT eigenvalue,
@@ -12,8 +11,6 @@ partial-sum indices.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,14 +23,7 @@ from .hermitian import Spectrum, eigenvalues
 
 BISECT_TOL = 1e-5
 PRE_SCAN_POINTS = 33
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("MAJORLENS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+BISECT_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -203,20 +193,10 @@ def classify_point(spec: families.FamilySpec, options: ScanOptions | None = None
 
 
 def grid_scan(grid: GridSpec, options: ScanOptions | None = None) -> list[ScanRecord]:
-    """Classify every grid point, row-major; deterministic under threading."""
+    """Classify every grid point, row-major."""
     options = options or ScanOptions()
-    points = grid.points()
-
-    def work(coords: tuple[float, ...]) -> ScanRecord:
-        record = classify_point(grid.spec_at(coords), options)
-        return replace(record, coords=coords)
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(work, points))
-    else:
-        records = [work(c) for c in points]
+    records = [replace(classify_point(grid.spec_at(coords), options), coords=coords)
+               for coords in grid.points()]
     if not any(r.in_region for r in records):
         raise ValueError("grid does not intersect the positivity region")
     return records
@@ -304,8 +284,13 @@ def bisect_threshold(
 
     A coarse pre-scan verifies the predicate flips exactly once (monotone
     along the ray); a non-monotone pattern raises with a diagnostic, and a
-    constant pattern returns None ("no threshold").
+    constant pattern returns None ("no threshold"). Bisection stops once the
+    bracket is at most ``tol`` > 0 wide, or after BISECT_MAX_STEPS halvings:
+    2^-64 of a pre-scan step is below double precision at parameters of the
+    ray's own scale, where ``hi - lo > tol`` could otherwise never fail.
     """
+    if not tol > 0.0:
+        raise ValueError(f"bisection tol must be > 0, got {tol!r}")
     predicate = _criterion_predicate(criterion, options or ScanOptions())
     ss = np.linspace(ray.lo, ray.hi, pre_scan)
     flags = [bool(predicate(ray.spec_at(s))) for s in ss]
@@ -319,7 +304,9 @@ def bisect_threshold(
         )
     lo, hi = float(ss[flips[0]]), float(ss[flips[0] + 1])
     state_lo = flags[flips[0]]
-    while hi - lo > tol:
+    for _ in range(BISECT_MAX_STEPS):
+        if hi - lo <= tol:
+            break
         mid = 0.5 * (lo + hi)
         if bool(predicate(ray.spec_at(mid))) == state_lo:
             lo = mid

@@ -103,6 +103,14 @@ def test_tsallis_sweep_q_one_on_grid():
     assert np.isfinite(verdict.margin)
 
 
+def test_tsallis_sweep_rejects_nan_grid():
+    # a NaN grid used to yield margin = nan and a witness q = nan
+    spec = FamilySpec(3, (0.4, 0.4))
+    qs = np.geomspace(np.nan, 1e3, 96)
+    with pytest.raises(ValueError, match="q > 0"):
+        tsallis_sweep_spectra(analytic_spectrum(spec), analytic_reduced(spec), q_grid=qs)
+
+
 def test_peaked_search_examples():
     rho = build(FamilySpec(3, (0.33, 0.33)))
     assert peaked_search(rho, alphas=(0.28,), ts=(1e3,)).detected

@@ -11,6 +11,8 @@ from majorlens.entropy import (
     entropy,
     f_eval,
     log_cosh_kernel,
+    peaked_differences,
+    tsallis_differences,
     tsallis_q2_limit_check,
 )
 from majorlens.hermitian import Spectrum
@@ -130,6 +132,26 @@ def test_domain_and_sum_validation():
         EntropicFamily.peaked(1.2, 10.0)
     with pytest.raises(ValueError):
         EntropicFamily.peaked(0.5, -1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EntropicFamily.tsallis(np.nan),
+    lambda: EntropicFamily.tsallis(np.inf),
+    lambda: EntropicFamily.peaked(0.3, np.inf),
+    lambda: EntropicFamily.peaked(0.3, np.nan),
+    lambda: EntropicFamily.peaked(np.nan, 10.0),
+    lambda: EntropicFamily.peaked_limit(np.nan),
+    lambda: tsallis_differences(np.ones(1), np.ones(1), [2.0, np.nan]),
+    lambda: tsallis_differences(np.ones(1), np.ones(1), [0.0]),
+    lambda: peaked_differences(np.ones(1), np.ones(1), [0.3], [10.0, np.inf]),
+    lambda: peaked_differences(np.ones(1), np.ones(1), [np.nan], [10.0]),
+    lambda: peaked_differences(np.ones(1), np.ones(1), [1.5], [10.0]),
+], ids=["tsallis-nan", "tsallis-inf", "peaked-t-inf", "peaked-t-nan", "peaked-alpha-nan",
+        "limit-alpha-nan", "kernel-q-nan", "kernel-q-zero", "kernel-t-inf",
+        "kernel-alpha-nan", "kernel-alpha-above-one"])
+def test_non_finite_or_out_of_range_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_conditional_family_examples():

@@ -56,6 +56,13 @@ def test_spec_validation():
         FamilySpec(3, (0.1, 0.1), "weird")
 
 
+@pytest.mark.parametrize("x", [(np.nan, 0.1), (0.1, np.inf), (-np.inf, 0.0)])
+def test_spec_rejects_non_finite_weights(x):
+    # a NaN weight used to pass every region comparison
+    with pytest.raises(ValueError, match="finite"):
+        FamilySpec(3, x).in_region()
+
+
 def test_reduced_examples():
     np.testing.assert_allclose(
         analytic_reduced(FamilySpec(3, (0.5, 0.0))).values,

@@ -55,6 +55,15 @@ def test_rejects_non_square():
         HermitianOperator(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_rejects_non_finite_entries(bad):
+    # NaN deviations compare false against the Hermiticity tolerance
+    mat = np.eye(3, dtype=complex) / 3.0
+    mat[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianOperator(mat)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5, 9, 17, 33, 64])
 def test_reconstruction_and_trace(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

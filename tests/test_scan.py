@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -70,15 +69,10 @@ def test_grid_scan_row_major_and_deterministic():
     assert lines_one == lines_two
 
 
-def test_grid_scan_threads_do_not_change_output():
+def test_grid_scan_repeat_output_identical():
     grid = GridSpec(3, 2, (AxisSpec((1,), 0.0, 0.5, 5), AxisSpec((2,), 0.0, 0.5, 5)))
     base = scan_csv_lines(grid_scan(grid, FAST), grid, FAST)
-    os.environ["MAJORLENS_THREADS"] = "4"
-    try:
-        threaded = scan_csv_lines(grid_scan(grid, FAST), grid, FAST)
-    finally:
-        del os.environ["MAJORLENS_THREADS"]
-    assert base == threaded
+    assert scan_csv_lines(grid_scan(grid, FAST), grid, FAST) == base
 
 
 def test_grid_outside_region_raises():
@@ -181,6 +175,18 @@ def test_bisect_rejects_non_monotone():
 def test_bisect_unknown_criterion():
     with pytest.raises(ValueError, match="unknown criterion"):
         bisect_threshold(RaySpec.axis(3, 2), "sorcery")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_bisect_rejects_non_positive_tol(tol):
+    # hi - lo > tol never fails once the bracket is one ulp wide
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        bisect_threshold(RaySpec.axis(3, 2), "peres", tol=tol)
+
+
+def test_bisect_below_double_precision_terminates():
+    value = bisect_threshold(RaySpec.axis(3, 2), "peres", tol=1e-300)
+    assert abs(value - thresholds(3, 2).peres_axis) <= 1e-12
 
 
 def test_curve_q_local_minimum_present_and_absent():
