@@ -5,11 +5,11 @@ Basis convention: the product state |i>_A |j>_B maps to row i * d_B + j.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import HermitianOperator, Spectrum, eigenvalues
+from .hermitian import HermitianOperator, Spectrum
 
 TRACE_TOL = 1e-10
 
@@ -19,12 +19,13 @@ class BipartiteDensity:
     """A density operator on C^{d_A} x C^{d_B}.
 
     Validates unit trace and positive semidefiniteness (within psd_tol)
-    on construction.
+    on construction, and keeps the spectrum the PSD check computes.
     """
 
     dims: tuple[int, int]
     op: HermitianOperator
     psd_tol: float = 1e-10
+    _spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d_a, d_b = self.dims
@@ -37,10 +38,12 @@ class BipartiteDensity:
         tr = self.op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density trace is {tr!r}, expected 1")
-        smallest = float(np.linalg.eigvalsh(self.op.mat)[0])
+        values = np.linalg.eigvalsh(self.op.mat)
+        smallest = float(values[0])
         if smallest < -self.psd_tol:
             raise ValueError(f"density is not PSD: min eigenvalue {smallest:.3e}")
         object.__setattr__(self, "dims", (int(d_a), int(d_b)))
+        object.__setattr__(self, "_spectrum", Spectrum.from_values(values))
 
     @classmethod
     def from_matrix(cls, mat, dims: tuple[int, int], psd_tol: float = 1e-10) -> "BipartiteDensity":
@@ -59,7 +62,8 @@ class BipartiteDensity:
         return self.op.dim
 
     def spectrum(self) -> Spectrum:
-        return eigenvalues(self.op)
+        """The eigenvalues of ``op``, descending; equal to ``eigenvalues(op)``."""
+        return self._spectrum
 
     def to_json_dict(self) -> dict:
         data = self.op.to_json_dict()

@@ -98,11 +98,13 @@ def _emit(lines: list[str], out: str | None) -> None:
 def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[list[tuple[str, str, str]], bool]:
     """Criterion table rows (name, verdict, detail) and overall certification.
 
-    The full and both reduced spectra are computed once and shared by every
-    spectral criterion.
+    The full spectrum (kept from the density's PSD check) and both reduced
+    spectra are computed once and shared by every spectral criterion; every
+    signed criterion counts as a detection below ``options.threshold``.
     """
+    threshold = options.threshold
     smallest_pt = criteria.peres_check(rho)
-    full = eigenvalues(rho.op)
+    full = rho.spectrum()
     reduced = {side: eigenvalues(partial_trace(rho, side)) for side in ("A", "B")}
     rep_a, rep_b = (
         criteria.majorization_compare(full, reduced[side], side, options.majorization_tol)
@@ -110,14 +112,15 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
     )
     red = reduced[options.side]
     vn = conditional_from_spectra(EntropicFamily.von_neumann(), full, red, options.side)
-    ts = criteria.tsallis_sweep_spectra(full, red, options.side, options.q_grid)
+    ts = criteria.tsallis_sweep_spectra(full, red, options.side, options.q_grid,
+                                        threshold=threshold)
     alphas = criteria.recommended_alphas(red) if options.alphas is None else options.alphas
-    pk = criteria.peaked_search_spectra(full, red, alphas, options.ts, options.side)
+    pk = criteria.peaked_search_spectra(full, red, alphas, options.ts, options.side, threshold)
 
     rows = []
     rows.append((
         "peres",
-        "entangled" if smallest_pt < -1e-12 else "no-signal",
+        "entangled" if smallest_pt < threshold else "no-signal",
         f"min PT eigenvalue = {smallest_pt:.9g}",
     ))
     for rep in (rep_a, rep_b):
@@ -131,7 +134,7 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
                      "entangled" if rep.is_violated else "no-signal", detail))
     rows.append((
         "von-neumann",
-        "entangled" if vn.difference < -1e-12 else "no-signal",
+        "entangled" if vn.difference < threshold else "no-signal",
         f"difference = {vn.difference:.9g}",
     ))
     rows.append((
@@ -144,8 +147,8 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
         pk_detail = (f"witness alpha = {pk.witness['alpha']:.6g}, "
                      f"t = {pk.witness['t']:.6g}, margin = {pk.margin:.6g}")
     rows.append(("peaked", "entangled" if pk.detected else "no-signal", pk_detail))
-    certified = (smallest_pt < -1e-12 or rep_a.is_violated or rep_b.is_violated
-                 or vn.difference < -1e-12 or ts.detected or pk.detected)
+    certified = (smallest_pt < threshold or rep_a.is_violated or rep_b.is_violated
+                 or vn.difference < threshold or ts.detected or pk.detected)
     return rows, certified
 
 

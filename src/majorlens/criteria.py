@@ -6,7 +6,8 @@
 * entropic detectors with bounded parameter search over the Tsallis q and
   the peaked-family (alpha, t), including the constructive alpha
   recommendation alpha = p_j of the reduced state at the first violated
-  index j.
+  index j. The ``*_batch`` forms search many points at once; the
+  ``*_spectra`` forms are their one-point case.
 """
 from __future__ import annotations
 
@@ -16,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteDensity, partial_trace, partial_transpose
-from .entropy import peaked_differences, probabilities, tsallis_differences
+from .entropy import (
+    peaked_differences,
+    probabilities,
+    tsallis_differences,
+    tsallis_differences_unchecked,
+)
 from .hermitian import Spectrum, eigenvalues
 
 MAJORIZATION_TOL = 1e-10
@@ -86,7 +92,7 @@ def disorder_check(
 ) -> tuple[MajorizationReport, MajorizationReport]:
     """Majorization reports against both subsystems; any violation certifies
     entanglement."""
-    full = eigenvalues(rho.op)
+    full = rho.spectrum()
     rep_a = majorization_compare(full, eigenvalues(partial_trace(rho, "A")), "A", tol)
     rep_b = majorization_compare(full, eigenvalues(partial_trace(rho, "B")), "B", tol)
     return rep_a, rep_b
@@ -101,13 +107,16 @@ def peres_check(rho: BipartiteDensity) -> float:
 def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minima of fn on every bracket [lo_j, hi_j], in lockstep.
 
-    ``fn`` maps an array of points to their values. Each bracket shrinks as
-    a search on its own would, until its width is <= tol, and fn is called
-    once per iteration on the new points of the brackets still open.
+    ``fn(idx, x)`` returns the values at the points ``x``, where ``x[m]``
+    lies in bracket ``idx[m]``, so each bracket can carry its own function.
+    Each bracket shrinks as a search on its own would, until its width is
+    <= tol, and fn is called once per iteration on the new points of the
+    brackets still open.
     """
+    every = np.arange(lo.size)
     a, b = lo.copy(), hi.copy()
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = np.split(fn(np.concatenate((c, d))), 2)
+    fc, fd = np.split(fn(np.concatenate((every, every)), np.concatenate((c, d))), 2)
     open_ = np.nonzero((b - a) > tol)[0]
     while open_.size:
         aj, bj, cj, dj = a[open_], b[open_], c[open_], d[open_]
@@ -117,13 +126,72 @@ def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndar
         bj, aj = np.where(left, dj, bj), np.where(left, aj, cj)
         kept, f_kept = np.where(left, cj, dj), np.where(left, fcj, fdj)
         new = np.where(left, bj - _INVPHI * (bj - aj), aj + _INVPHI * (bj - aj))
-        f_new = fn(new)
+        f_new = fn(open_, new)
         a[open_], b[open_] = aj, bj
         c[open_], d[open_] = np.where(left, new, kept), np.where(left, kept, new)
         fc[open_], fd[open_] = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
         open_ = open_[(bj - aj) > tol]
     mid = 0.5 * (a + b)
-    return mid, fn(mid)
+    return mid, fn(every, mid)
+
+
+def _stacked_pairs(fulls, reduceds) -> tuple[np.ndarray, np.ndarray]:
+    """Checked probabilities (``probabilities``) of the full and reduced
+    spectra of every point, one row per point; np.array raises ValueError
+    for spectra of different dimensions."""
+    if len(fulls) != len(reduceds):
+        raise ValueError(f"{len(fulls)} full spectra but {len(reduceds)} reduced ones")
+    return (np.array([probabilities(spectrum) for spectrum in fulls]),
+            np.array([probabilities(spectrum) for spectrum in reduceds]))
+
+
+def tsallis_sweep_batch(
+    fulls,
+    reduceds,
+    q_grid: np.ndarray | None = None,
+    refine_tol: float = 1e-6,
+    threshold: float = DETECTION_THRESHOLD,
+) -> list[DetectionVerdict]:
+    """Minimize the Tsallis conditional difference over q, for every point.
+
+    ``fulls`` and ``reduceds`` hold one (full, reduced) spectrum pair per
+    point, all of one dimension. The grid is sampled on every point in one
+    kernel call; then the brackets around every sampled local minimum of
+    every point are golden-refined together (dips narrower than the grid
+    spacing would otherwise be missed near detection onsets). Each point
+    reports the deepest value it reached: its grid minimum, or else its
+    first refinement, in grid order, that is strictly deeper.
+    """
+    qs = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
+    if qs.size == 0:
+        raise ValueError("the Tsallis q grid is empty")
+    if len(fulls) == 0:
+        return []
+    p_full, p_reduced = _stacked_pairs(fulls, reduceds)
+    vals = tsallis_differences(p_full, p_reduced, qs)
+    edge = np.full((vals.shape[0], 1), np.inf)
+    left = np.concatenate((edge, vals[:, :-1]), axis=1)
+    right = np.concatenate((vals[:, 1:], edge), axis=1)
+    point, k = np.nonzero((vals <= left) & (vals <= right))
+    log_qs = np.log(qs)
+    lo = log_qs[np.maximum(k - 1, 0)]
+    hi = log_qs[np.minimum(k + 1, qs.size - 1)]
+    # every refined q lies inside the checked grid's range
+    bracket_full, bracket_reduced = p_full[point], p_reduced[point]
+    log_q_min, v_min = _golden_min(
+        lambda idx, lq: tsallis_differences_unchecked(
+            bracket_full[idx], bracket_reduced[idx], np.exp(lq)[:, None])[:, 0],
+        lo, hi, refine_tol,
+    )
+    bounds = np.searchsorted(point, np.arange(vals.shape[0] + 1))
+    verdicts = []
+    for i, best in enumerate(np.argmin(vals, axis=1)):
+        best_q, best_v = float(qs[best]), float(vals[i, best])
+        for lq, v in zip(log_q_min[bounds[i]:bounds[i + 1]], v_min[bounds[i]:bounds[i + 1]]):
+            if v < best_v:
+                best_q, best_v = math.exp(lq), float(v)
+        verdicts.append(DetectionVerdict(best_v < threshold, {"q": best_q}, best_v))
+    return verdicts
 
 
 def tsallis_sweep_spectra(
@@ -134,31 +202,8 @@ def tsallis_sweep_spectra(
     refine_tol: float = 1e-6,
     threshold: float = DETECTION_THRESHOLD,
 ) -> DetectionVerdict:
-    """Minimize the Tsallis conditional difference over q.
-
-    Samples the grid, then golden-refines around every sampled local minimum
-    (dips narrower than the grid spacing would otherwise be missed near
-    detection onsets) and reports the deepest point found: the grid minimum,
-    or else the first refinement, in grid order, that is strictly deeper.
-    """
-    qs = default_q_grid() if q_grid is None else np.asarray(q_grid, dtype=float)
-    p_full, p_reduced = probabilities(full), probabilities(reduced)
-    vals = tsallis_differences(p_full, p_reduced, qs)
-    best = int(np.argmin(vals))
-    best_q, best_v = float(qs[best]), float(vals[best])
-    left = np.concatenate(([np.inf], vals[:-1]))
-    right = np.concatenate((vals[1:], [np.inf]))
-    minima = np.nonzero((vals <= left) & (vals <= right))[0]
-    log_qs = np.log(qs)
-    lo = log_qs[np.maximum(minima - 1, 0)]
-    hi = log_qs[np.minimum(minima + 1, qs.size - 1)]
-    log_q_min, v_min = _golden_min(
-        lambda lq: tsallis_differences(p_full, p_reduced, np.exp(lq)), lo, hi, refine_tol
-    )
-    for lq, v in zip(log_q_min, v_min):
-        if v < best_v:
-            best_q, best_v = math.exp(lq), float(v)
-    return DetectionVerdict(best_v < threshold, {"q": best_q}, best_v)
+    """The Tsallis sweep (``tsallis_sweep_batch``) of one point."""
+    return tsallis_sweep_batch([full], [reduced], q_grid, refine_tol, threshold)[0]
 
 
 def tsallis_sweep(
@@ -168,7 +213,7 @@ def tsallis_sweep(
     refine_tol: float = 1e-6,
     threshold: float = DETECTION_THRESHOLD,
 ) -> DetectionVerdict:
-    full = eigenvalues(rho.op)
+    full = rho.spectrum()
     reduced = eigenvalues(partial_trace(rho, keep=side))
     return tsallis_sweep_spectra(full, reduced, side, q_grid, refine_tol, threshold)
 
@@ -199,6 +244,51 @@ def recommended_alphas(reduced: Spectrum, jitter: float = ALPHA_JITTER) -> tuple
     return tuple(alphas)
 
 
+def peaked_search_batch(
+    fulls,
+    reduceds,
+    alphas,
+    ts=None,
+    threshold: float = DETECTION_THRESHOLD,
+) -> list[DetectionVerdict]:
+    """Evaluate the peaked conditional difference over each point's (alpha, t) lattice.
+
+    ``fulls`` and ``reduceds`` hold one spectrum pair per point, all of one
+    dimension, and ``alphas`` one sequence of peak locations per point (their
+    counts may differ); every point shares the t schedule. The (point, alpha)
+    rows of all points go through one kernel call. For each point the witness
+    is the first cell below threshold in (alpha-major, t-minor) order, or the
+    deepest cell when none is; the margin is the most negative value over
+    its whole lattice.
+    """
+    ts = np.asarray(DEFAULT_T_SCHEDULE if ts is None else tuple(ts), dtype=float)
+    if len(fulls) == 0:
+        return []
+    p_full, p_reduced = _stacked_pairs(fulls, reduceds)
+    rows = [np.asarray(tuple(point_alphas), dtype=float) for point_alphas in alphas]
+    if len(rows) != len(fulls):
+        raise ValueError(f"{len(rows)} alpha sequences for {len(fulls)} points")
+    row_point = np.repeat(np.arange(len(rows)), [row.size for row in rows])
+    row_alpha = np.concatenate(rows)
+    diffs = peaked_differences(p_full[row_point], p_reduced[row_point],
+                               row_alpha[:, None], ts).reshape(-1)
+    bounds = (np.searchsorted(row_point, np.arange(len(rows) + 1)) * ts.size).tolist()
+    verdicts = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        cells = diffs[start:stop]
+        if cells.size == 0:
+            verdicts.append(DetectionVerdict(False, None, math.inf))
+            continue
+        deepest = int(np.argmin(cells))
+        margin = float(cells[deepest])
+        detected = margin < threshold
+        cell = start + (int(np.argmax(cells < threshold)) if detected else deepest)
+        row, k = divmod(cell, ts.size)
+        verdicts.append(DetectionVerdict(
+            detected, {"alpha": float(row_alpha[row]), "t": float(ts[k])}, margin))
+    return verdicts
+
+
 def peaked_search_spectra(
     full: Spectrum,
     reduced: Spectrum,
@@ -207,23 +297,8 @@ def peaked_search_spectra(
     side: str = "A",
     threshold: float = DETECTION_THRESHOLD,
 ) -> DetectionVerdict:
-    """Evaluate the peaked conditional difference over the (alpha, t) lattice.
-
-    The witness is the first cell below threshold in (alpha-major, t-minor)
-    order, or the deepest cell when none is; the margin is the most negative
-    value over the whole lattice.
-    """
-    alphas = np.asarray(tuple(alphas), dtype=float)
-    ts = np.asarray(DEFAULT_T_SCHEDULE if ts is None else tuple(ts), dtype=float)
-    diffs = peaked_differences(probabilities(full), probabilities(reduced), alphas, ts).ravel()
-    if diffs.size == 0:
-        return DetectionVerdict(False, None, math.inf)
-    deepest = int(np.argmin(diffs))
-    margin = float(diffs[deepest])
-    detected = margin < threshold
-    cell = int(np.argmax(diffs < threshold)) if detected else deepest
-    i, k = divmod(cell, ts.size)
-    return DetectionVerdict(detected, {"alpha": float(alphas[i]), "t": float(ts[k])}, margin)
+    """The peaked search (``peaked_search_batch``) of one point."""
+    return peaked_search_batch([full], [reduced], [alphas], ts, threshold)[0]
 
 
 def peaked_search(
@@ -235,7 +310,7 @@ def peaked_search(
 ) -> DetectionVerdict:
     """Peaked-family detector; by default tries the recommended alphas for
     every index of the reduced spectrum."""
-    full = eigenvalues(rho.op)
+    full = rho.spectrum()
     reduced = eigenvalues(partial_trace(rho, keep=side))
     if alphas is None:
         alphas = recommended_alphas(reduced)

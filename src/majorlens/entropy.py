@@ -203,24 +203,45 @@ def probabilities(spectrum: Spectrum) -> np.ndarray:
 
 
 def tsallis_differences(full: np.ndarray, reduced: np.ndarray, qs) -> np.ndarray:
-    """S_q(full) - S_q(reduced) for every q of ``qs``, shape (K,).
+    """S_q(full) - S_q(reduced) for every q of ``qs``, shape (..., K).
 
-    ``full`` and ``reduced`` are spectra in the form ``probabilities``
-    returns. Every q must be finite and > 0.
+    ``full`` (..., D) and ``reduced`` (..., d) hold spectra in the form
+    ``probabilities`` returns, one row per point when stacked; ``qs``
+    (..., K) broadcasts against their leading axes, so a (K,) grid is
+    evaluated on every point and a (P, 1) column gives each point its own q.
+    Every q must be finite and > 0.
     """
-    terms = _tsallis_terms(_tsallis_q(qs)[:, None], np.concatenate((full, reduced)))
-    return terms[:, :full.size].sum(axis=-1) - terms[:, full.size:].sum(axis=-1)
+    return tsallis_differences_unchecked(full, reduced, _tsallis_q(qs))
+
+
+def tsallis_differences_unchecked(
+    full: np.ndarray, reduced: np.ndarray, qs: np.ndarray
+) -> np.ndarray:
+    """``tsallis_differences`` without the check on q: for a float array of q
+    values already known to be finite and > 0, such as points inside the
+    range of a checked grid."""
+    probs = np.concatenate((full, reduced), axis=-1)
+    return _split_difference(_tsallis_terms(qs[..., :, None], probs[..., None, :]), full.shape[-1])
+
+
+def _split_difference(terms: np.ndarray, split: int) -> np.ndarray:
+    """Sum of the full-spectrum terms (the first ``split`` along the last
+    axis) minus the sum of the reduced-spectrum terms."""
+    return np.add.reduce(terms[..., :split], axis=-1) - np.add.reduce(terms[..., split:], axis=-1)
 
 
 def peaked_differences(full: np.ndarray, reduced: np.ndarray, alphas, ts) -> np.ndarray:
-    """S_peaked(full) - S_peaked(reduced) on the (alpha, t) lattice, shape (A, T).
+    """S_peaked(full) - S_peaked(reduced) on the (alpha, t) lattice, shape (..., A, T).
 
-    ``full`` and ``reduced`` are spectra in the form ``probabilities``
-    returns. Every alpha must lie in [0, 1], every t be finite and > 0.
+    ``full`` and ``reduced`` are (stacked) spectra as in
+    ``tsallis_differences``; ``alphas`` (..., A) broadcasts against their
+    leading axes and ``ts`` is one (T,) schedule. Every alpha must lie in
+    [0, 1], every t be finite and > 0.
     """
-    terms = _peaked_terms(_peak_alpha(alphas)[:, None, None], _peak_t(ts)[None, :, None],
-                          np.concatenate((full, reduced)))
-    return terms[..., :full.size].sum(axis=-1) - terms[..., full.size:].sum(axis=-1)
+    probs = np.concatenate((full, reduced), axis=-1)
+    terms = _peaked_terms(_peak_alpha(alphas)[..., :, None, None], _peak_t(ts)[:, None],
+                          probs[..., None, None, :])
+    return _split_difference(terms, full.shape[-1])
 
 
 def entropy(family: EntropicFamily, spectrum: Spectrum) -> float:
@@ -267,7 +288,7 @@ def conditional_from_spectra(
 def conditional(family: EntropicFamily, rho: BipartiteDensity, side: str = "A") -> ConditionalReport:
     """Conditional difference for a density operator; negative certifies
     entanglement."""
-    full = eigenvalues(rho.op)
+    full = rho.spectrum()
     reduced = eigenvalues(partial_trace(rho, keep=side))
     return conditional_from_spectra(family, full, reduced, side)
 
@@ -283,7 +304,7 @@ def tsallis_q2_limit_check(rho: BipartiteDensity, t_small: float, alpha: float =
         raise ValueError(f"t_small must be <= 1e-2, got {t_small}")
     peaked = EntropicFamily.peaked(alpha, t_small)
     q2 = EntropicFamily.tsallis(2.0)
-    full = eigenvalues(rho.op)
+    full = rho.spectrum()
     reduced = eigenvalues(partial_trace(rho, keep="A"))
     worst = 0.0
     for spec in (full, reduced):

@@ -5,7 +5,8 @@ and peaked search replaced: ``scalar_difference`` evaluates one conditional
 difference from the scalar Tsallis and peaked trace forms, the reference
 sweeps call it once per parameter point, and the golden-section refinement
 visits one bracket at a time. None of them calls the batched kernel, which
-the scalar ``entropy`` path now shares.
+the scalar ``entropy`` path now shares. The batched sweeps over several
+points are checked against the one-point sweeps and these references.
 """
 import math
 
@@ -18,8 +19,10 @@ from majorlens.criteria import (
     DEFAULT_T_SCHEDULE,
     DETECTION_THRESHOLD,
     default_q_grid,
+    peaked_search_batch,
     peaked_search_spectra,
     recommended_alphas,
+    tsallis_sweep_batch,
     tsallis_sweep_spectra,
 )
 from majorlens.entropy import (
@@ -112,16 +115,26 @@ def scalar_peaked_search(full, reduced, alphas, ts, threshold=DETECTION_THRESHOL
     return detected, witness if detected else margin_cell, float(margin)
 
 
-@st.composite
-def spectrum_pairs(draw):
-    """A full spectrum of dimension k^2 and rank 1..9 with a k-dim reduced one."""
-    k = draw(st.integers(2, 3))
+def _draw_pair(draw, k):
     weight = st.floats(1e-3, 1.0)
     full = draw(st.lists(weight, min_size=1, max_size=min(9, k * k)))
     reduced = draw(st.lists(weight, min_size=1, max_size=k))
     full = np.array(full + [0.0] * (k * k - len(full)))
     reduced = np.array(reduced + [0.0] * (k - len(reduced)))
     return Spectrum.from_values(full / full.sum()), Spectrum.from_values(reduced / reduced.sum())
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """A full spectrum of dimension k^2 and rank 1..9 with a k-dim reduced one."""
+    return _draw_pair(draw, draw(st.integers(2, 3)))
+
+
+@st.composite
+def spectrum_batches(draw):
+    """1-6 spectrum pairs of one dimension, as ``spectrum_pairs`` draws them."""
+    k = draw(st.integers(2, 3))
+    return [_draw_pair(draw, k) for _ in range(draw(st.integers(1, 6)))]
 
 
 @given(pair=spectrum_pairs(), q=st.floats(1e-2, 1e3))
@@ -181,3 +194,62 @@ def test_peaked_search_matches_scalar(pair, alpha, t):
     verdict = peaked_search_spectra(full, reduced, alphas, ts)
     assert verdict.detected == detected
     assert abs(verdict.margin - margin) <= MARGIN_TOL
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@given(batch=spectrum_batches())
+@settings(max_examples=40, deadline=None)
+def test_tsallis_sweep_batch_matches_points(grid, batch):
+    qs = GRIDS[grid]
+    fulls, reduceds = zip(*batch)
+    verdicts = tsallis_sweep_batch(fulls, reduceds, qs)
+    assert len(verdicts) == len(batch)
+    for verdict, (full, reduced) in zip(verdicts, batch):
+        assert verdict == tsallis_sweep_spectra(full, reduced, q_grid=qs)
+        detected, q, margin = scalar_tsallis_sweep(full, reduced, qs)
+        assert verdict.detected == detected
+        assert abs(verdict.margin - margin) <= MARGIN_TOL
+        if verdict.witness != {"q": q}:
+            # only a tie within round-off, e.g. on a flat large-q tail, may pick another q
+            depth = scalar_difference(EntropicFamily.tsallis(verdict.witness["q"]), full, reduced)
+            assert abs(depth - margin) <= MARGIN_TOL
+
+
+@given(batch=spectrum_batches(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_peaked_search_batch_matches_points(batch, data):
+    # each point searches its own alphas, so the (point, alpha) rows differ in count
+    fulls, reduceds = zip(*batch)
+    alphas = [data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+              + list(recommended_alphas(reduced)) for reduced in reduceds]
+    ts = (*DEFAULT_T_SCHEDULE, data.draw(st.floats(1e-3, 1e4)))
+    verdicts = peaked_search_batch(fulls, reduceds, alphas, ts)
+    assert len(verdicts) == len(batch)
+    for verdict, (full, reduced), point_alphas in zip(verdicts, batch, alphas):
+        assert verdict == peaked_search_spectra(full, reduced, point_alphas, ts)
+        detected, witness, margin = scalar_peaked_search(full, reduced, point_alphas, ts)
+        assert verdict.detected == detected
+        assert abs(verdict.margin - margin) <= MARGIN_TOL
+        if verdict.witness != witness:
+            # only cells tied within round-off (with the threshold when detected,
+            # else with the margin) may pick another cell
+            fam = EntropicFamily.peaked(verdict.witness["alpha"], verdict.witness["t"])
+            depth = scalar_difference(fam, full, reduced)
+            assert depth < DETECTION_THRESHOLD + MARGIN_TOL if detected \
+                else abs(depth - margin) <= MARGIN_TOL
+
+
+def test_batched_sweeps_edge_cases():
+    full, reduced = Spectrum.from_values([0.5, 0.5, 0.0, 0.0]), Spectrum.from_values([0.5, 0.5])
+    assert tsallis_sweep_batch([], []) == []
+    assert peaked_search_batch([], [], []) == []
+    # a point without alphas keeps the empty-lattice verdict beside its neighbours
+    empty, searched = peaked_search_batch([full, full], [reduced, reduced], [(), (0.3, 0.5)])
+    assert (empty.detected, empty.witness, empty.margin) == (False, None, math.inf)
+    assert searched == peaked_search_spectra(full, reduced, (0.3, 0.5))
+    with pytest.raises(ValueError, match="alpha sequences"):
+        peaked_search_batch([full, full], [reduced, reduced], [(0.3,)])
+    with pytest.raises(ValueError, match="reduced"):
+        tsallis_sweep_batch([full, full], [reduced])
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        tsallis_sweep_batch([full, Spectrum.from_values([1.0] + [0.0] * 8)], [reduced, reduced])

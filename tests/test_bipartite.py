@@ -131,6 +131,14 @@ def test_density_validation():
         partial_trace(BipartiteDensity.from_matrix(np.eye(4) / 4.0, (2, 2)), "C")
 
 
+def test_density_keeps_its_spectrum(rng):
+    for rho in (build(FamilySpec(3, (0.4, 0.1))),
+                BipartiteDensity.from_matrix(random_density_matrix(rng, 6), (2, 3))):
+        kept, fresh = rho.spectrum(), eigenvalues(rho.op)
+        np.testing.assert_array_equal(kept.values, fresh.values)
+        np.testing.assert_array_equal(kept.cumsums, fresh.cumsums)
+
+
 def test_density_json_roundtrip():
     rho = build(FamilySpec(3, (0.4, 0.1)))
     back = BipartiteDensity.from_json_dict(rho.to_json_dict())

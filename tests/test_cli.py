@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from majorlens.cli import run
+from majorlens import families
+from majorlens.cli import _analyze_rows, run
+from majorlens.scan import ScanOptions
 
 
 def test_analyze_entangled_family(capsys):
@@ -105,6 +107,40 @@ def test_analyze_rejects_nan_q_grid(capsys):
     captured = capsys.readouterr()
     assert "q > 0" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--family", "d=3", "x=0.4,0.4"],
+    ["scan", "--family", "d=3", "x=0,0", "--axis", "1=0.3:0.4:2", "--axis", "2=0.3:0.4:2"],
+])
+def test_empty_q_grid_is_named(capsys, command):
+    assert run([*command, "--qpoints", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "q grid is empty" in captured.err
+    assert captured.out == ""
+
+
+def test_analyze_rows_honor_threshold():
+    # at (0.4, 0.4): PT minimum -0.26, von Neumann difference +0.26, Tsallis
+    # margin -0.0067 and peaked margin -0.11
+    rho = families.build(families.FamilySpec(3, (0.4, 0.4)))
+
+    def verdicts(threshold):
+        rows, certified = _analyze_rows(rho, ScanOptions(threshold=threshold))
+        return {name: verdict for name, verdict, _ in rows}, certified
+
+    default, _ = verdicts(-1e-12)
+    assert [default[n] for n in ("peres", "von-neumann", "tsallis", "peaked")] == \
+        ["entangled", "no-signal", "entangled", "entangled"]
+    deeper, _ = verdicts(-0.01)
+    assert [deeper[n] for n in ("peres", "tsallis", "peaked")] == \
+        ["entangled", "no-signal", "entangled"]
+    above, _ = verdicts(0.3)
+    assert above["von-neumann"] == "entangled"
+    # the majorization rows have no threshold and still certify
+    quiet, certified = verdicts(-1.0)
+    assert {quiet[n] for n in ("peres", "von-neumann", "tsallis", "peaked")} == {"no-signal"}
+    assert quiet["disorder[A]"] == "entangled" and certified
 
 
 def test_threshold_peres(capsys):

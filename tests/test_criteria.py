@@ -13,6 +13,7 @@ from majorlens.criteria import (
     recommend_alpha_from_spectrum,
     recommended_alphas,
     tsallis_sweep,
+    tsallis_sweep_batch,
     tsallis_sweep_spectra,
 )
 from majorlens.entropy import EntropicFamily, conditional_from_spectra
@@ -109,6 +110,16 @@ def test_tsallis_sweep_rejects_nan_grid():
     qs = np.geomspace(np.nan, 1e3, 96)
     with pytest.raises(ValueError, match="q > 0"):
         tsallis_sweep_spectra(analytic_spectrum(spec), analytic_reduced(spec), q_grid=qs)
+
+
+def test_tsallis_sweep_rejects_empty_grid():
+    # an empty grid used to fail in numpy's argmin instead of naming the grid
+    spec = FamilySpec(3, (0.4, 0.4))
+    full, red = analytic_spectrum(spec), analytic_reduced(spec)
+    with pytest.raises(ValueError, match="q grid is empty"):
+        tsallis_sweep_spectra(full, red, q_grid=np.geomspace(1e-2, 1e3, 0))
+    with pytest.raises(ValueError, match="q grid is empty"):
+        tsallis_sweep_batch([full, full], [red, red], q_grid=[])
 
 
 def test_peaked_search_examples():

@@ -1,8 +1,11 @@
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from majorlens import scan
 from majorlens.entropy import EntropicFamily, conditional_from_spectra
 from majorlens.families import FamilySpec, analytic_reduced, analytic_spectrum, thresholds
 from majorlens.scan import (
@@ -73,6 +76,25 @@ def test_grid_scan_repeat_output_identical():
     grid = GridSpec(3, 2, (AxisSpec((1,), 0.0, 0.5, 5), AxisSpec((2,), 0.0, 0.5, 5)))
     base = scan_csv_lines(grid_scan(grid, FAST), grid, FAST)
     assert scan_csv_lines(grid_scan(grid, FAST), grid, FAST) == base
+
+
+def test_grid_scan_blocks_match_point_by_point():
+    # more in-region points than one block holds, so a block boundary falls
+    # inside the region; each row must be that point's own classification
+    grid = GridSpec(3, 2, (AxisSpec((1,), 0.0, 0.45, 10), AxisSpec((2,), 0.0, 0.45, 10)))
+    records = grid_scan(grid, ScanOptions())
+    assert sum(r.in_region for r in records) > scan.SCAN_BLOCK
+    for coords, record in zip(grid.points(), records):
+        assert record == replace(classify_point(grid.spec_at(coords)), coords=coords)
+
+
+def test_grid_scan_matches_golden_csv():
+    # written by the point-by-point scan that preceded the batched sweeps
+    golden = pathlib.Path(__file__).parent / "data" / "scan_d3_9x9.csv"
+    grid = GridSpec(3, 2, (AxisSpec((1,), -0.125, 0.875, 9), AxisSpec((2,), -0.125, 0.875, 9)))
+    options = ScanOptions()
+    lines = scan_csv_lines(grid_scan(grid, options), grid, options)
+    assert "\n".join(lines) + "\n" == golden.read_text()
 
 
 def test_grid_outside_region_raises():
