@@ -47,7 +47,6 @@ from .hermitian import (
     HermitianOperator,
     NotHermitianError,
     Spectrum,
-    eigensystem,
     eigenvalues,
     is_psd,
 )

@@ -10,6 +10,7 @@ Diagnostics go to stderr, data to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import criteria, families, scan
 from .bipartite import BipartiteDensity, partial_trace
-from .entropy import EntropicFamily, conditional_from_spectra
 from .hermitian import eigenvalues
 
 
@@ -55,8 +55,11 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v != "")
+def _float_list(text: str, flag: str) -> tuple[float, ...]:
+    values = tuple(float(v) for v in text.split(",") if v != "")
+    if not values:
+        raise ValueError(f"{flag} {text!r} lists no values")
+    return values
 
 
 def _load_density(path: str) -> BipartiteDensity:
@@ -71,6 +74,8 @@ def _options_from_args(args) -> scan.ScanOptions:
         qlo = args.qmin if args.qmin is not None else criteria.DEFAULT_Q_BOUNDS[0]
         qhi = args.qmax if args.qmax is not None else criteria.DEFAULT_Q_BOUNDS[1]
         qn = args.qpoints if args.qpoints is not None else criteria.DEFAULT_Q_POINTS
+        if qlo >= qhi:
+            raise ValueError(f"the q range needs qmin < qmax, got qmin={qlo:g} and qmax={qhi:g}")
         q_grid = np.geomspace(qlo, qhi, qn)
     tol = getattr(args, "tol", None)
     if tol is None:
@@ -80,8 +85,8 @@ def _options_from_args(args) -> scan.ScanOptions:
     return scan.ScanOptions(
         side=args.side,
         q_grid=q_grid,
-        alphas=_float_list(args.alphas) if args.alphas else None,
-        ts=_float_list(args.ts) if args.ts else None,
+        alphas=None if args.alphas is None else _float_list(args.alphas, "--alphas"),
+        ts=None if args.ts is None else _float_list(args.ts, "--ts"),
         majorization_tol=tol,
     )
 
@@ -99,8 +104,9 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
     """Criterion table rows (name, verdict, detail) and overall certification.
 
     The full spectrum (kept from the density's PSD check) and both reduced
-    spectra are computed once and shared by every spectral criterion; every
-    signed criterion counts as a detection below ``options.threshold``.
+    spectra are computed once and shared by every spectral criterion; the
+    entropic ones run through ``scan.detect``. Every signed criterion counts
+    as a detection below ``options.threshold``.
     """
     threshold = options.threshold
     smallest_pt = criteria.peres_check(rho)
@@ -110,12 +116,7 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
         criteria.majorization_compare(full, reduced[side], side, options.majorization_tol)
         for side in ("A", "B")
     )
-    red = reduced[options.side]
-    vn = conditional_from_spectra(EntropicFamily.von_neumann(), full, red, options.side)
-    ts = criteria.tsallis_sweep_spectra(full, red, options.side, options.q_grid,
-                                        threshold=threshold)
-    alphas = criteria.recommended_alphas(red) if options.alphas is None else options.alphas
-    pk = criteria.peaked_search_spectra(full, red, alphas, options.ts, options.side, threshold)
+    (vn, ts, pk), = scan.detect([full], [reduced[options.side]], options)
 
     rows = []
     rows.append((
@@ -134,8 +135,8 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
                      "entangled" if rep.is_violated else "no-signal", detail))
     rows.append((
         "von-neumann",
-        "entangled" if vn.difference < threshold else "no-signal",
-        f"difference = {vn.difference:.9g}",
+        "entangled" if vn < threshold else "no-signal",
+        f"difference = {vn:.9g}",
     ))
     rows.append((
         "tsallis",
@@ -148,7 +149,7 @@ def _analyze_rows(rho: BipartiteDensity, options: scan.ScanOptions) -> tuple[lis
                      f"t = {pk.witness['t']:.6g}, margin = {pk.margin:.6g}")
     rows.append(("peaked", "entangled" if pk.detected else "no-signal", pk_detail))
     certified = (smallest_pt < threshold or rep_a.is_violated or rep_b.is_violated
-                 or vn.difference < threshold or ts.detected or pk.detected)
+                 or vn < threshold or ts.detected or pk.detected)
     return rows, certified
 
 
@@ -197,11 +198,8 @@ def _cmd_scan(args) -> int:
     spec = _parse_family(args.family, args.symmetric)
     axes = tuple(_parse_axis(a) for a in args.axis)
     grid = scan.GridSpec(spec.d, spec.n, axes, spec.x, spec.exchange)
-    options = _options_from_args(args)
-    if args.no_tsallis:
-        options = replace(options, tsallis=False)
-    if args.no_peaked:
-        options = replace(options, peaked=False)
+    options = replace(_options_from_args(args), tsallis=not args.no_tsallis,
+                      peaked=not args.no_peaked)
     if args.fractions:
         summary = scan.area_fractions(grid, options.majorization_tol)
         _emit([json.dumps(summary, indent=2)], args.out)
@@ -230,7 +228,7 @@ def _cmd_scan(args) -> int:
 def _cmd_threshold(args) -> int:
     n = args.n if args.n is not None else (1 if args.d == 2 else 2)
     if args.dir:
-        direction = _float_list(args.dir)
+        direction = _float_list(args.dir, "--dir")
         n = len(direction)
         lo, hi = 0.0, 1.0 / max(sum(direction), 1e-9)
         ray = scan.RaySpec(args.d, n, (0.0,) * n, direction, lo, hi)
@@ -259,7 +257,9 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="majorlens",
         description="Majorization, entropic and partial-transpose entanglement "

@@ -197,7 +197,6 @@ def tsallis_sweep_batch(
 def tsallis_sweep_spectra(
     full: Spectrum,
     reduced: Spectrum,
-    side: str = "A",
     q_grid: np.ndarray | None = None,
     refine_tol: float = 1e-6,
     threshold: float = DETECTION_THRESHOLD,
@@ -215,7 +214,7 @@ def tsallis_sweep(
 ) -> DetectionVerdict:
     full = rho.spectrum()
     reduced = eigenvalues(partial_trace(rho, keep=side))
-    return tsallis_sweep_spectra(full, reduced, side, q_grid, refine_tol, threshold)
+    return tsallis_sweep_spectra(full, reduced, q_grid, refine_tol, threshold)
 
 
 def recommend_alpha_from_spectrum(reduced: Spectrum, j: int) -> float:
@@ -294,7 +293,6 @@ def peaked_search_spectra(
     reduced: Spectrum,
     alphas,
     ts=None,
-    side: str = "A",
     threshold: float = DETECTION_THRESHOLD,
 ) -> DetectionVerdict:
     """The peaked search (``peaked_search_batch``) of one point."""
@@ -314,4 +312,4 @@ def peaked_search(
     reduced = eigenvalues(partial_trace(rho, keep=side))
     if alphas is None:
         alphas = recommended_alphas(reduced)
-    return peaked_search_spectra(full, reduced, alphas, ts, side, threshold)
+    return peaked_search_spectra(full, reduced, alphas, ts, threshold)

@@ -1,7 +1,7 @@
 """Dense Hermitian linear algebra at small dimension.
 
-Construction and validation of Hermitian operators, full eigenvalue
-decomposition, and sorted spectra with cumulative partial sums.
+Construction and validation of Hermitian operators, their eigenvalues, and
+sorted spectra with cumulative partial sums.
 """
 from __future__ import annotations
 
@@ -74,15 +74,10 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted in decreasing order, with cumulative partial sums.
-
-    ``degeneracy_tol`` is used only when counting multiplicities; the raw
-    values are never snapped together.
-    """
+    """Eigenvalues sorted in decreasing order, with cumulative partial sums."""
 
     values: np.ndarray
     cumsums: np.ndarray
-    degeneracy_tol: float = 1e-9
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -99,11 +94,11 @@ class Spectrum:
         object.__setattr__(self, "cumsums", cumsums)
 
     @classmethod
-    def from_values(cls, values, degeneracy_tol: float = 1e-9) -> "Spectrum":
+    def from_values(cls, values) -> "Spectrum":
         """Sort descending (stable) and accumulate partial sums."""
         values = np.asarray(values, dtype=float)
         ordered = np.sort(values, kind="stable")[::-1]
-        return cls(ordered, np.cumsum(ordered), degeneracy_tol)
+        return cls(ordered, np.cumsum(ordered))
 
     @property
     def dim(self) -> int:
@@ -119,30 +114,11 @@ class Spectrum:
             raise IndexError(f"partial sum index {i} outside 1..{self.dim}")
         return float(self.cumsums[i - 1])
 
-    def top_multiplicity(self) -> int:
-        """Number of eigenvalues within degeneracy_tol of the largest."""
-        return int(np.sum(self.values >= self.values[0] - self.degeneracy_tol))
-
-    def count_above(self, level: float) -> int:
-        """Number of eigenvalues strictly greater than ``level``."""
-        return int(np.sum(self.values > level))
-
-    def is_density_like(self, tol: float = 1e-10) -> bool:
-        """True when nonnegative within tol and summing to one within tol."""
-        return bool(self.values[-1] >= -tol and abs(self.trace - 1.0) <= tol)
-
 
 def eigenvalues(op: HermitianOperator) -> Spectrum:
     """All eigenvalues of ``op``, sorted descending. Deterministic."""
     vals = np.linalg.eigvalsh(op.mat)
     return Spectrum.from_values(vals)
-
-
-def eigensystem(op: HermitianOperator) -> tuple[Spectrum, np.ndarray]:
-    """Eigenvalues (descending) and the matching eigenvector columns."""
-    vals, vecs = np.linalg.eigh(op.mat)
-    order = np.arange(vals.size)[::-1]
-    return Spectrum.from_values(vals), vecs[:, order]
 
 
 def is_psd(op: HermitianOperator, tol: float = 1e-10) -> bool:

@@ -1,12 +1,11 @@
 """Region scanning, threshold bisection, curve sweeps and area fractions.
 
 Grid points are classified in row-major blocks of SCAN_BLOCK points. Each
-point's spectra, majorization report, von Neumann difference and sector
-label come first, one point at a time; then the Tsallis sweeps and the
-peaked searches of the block's in-region points run together, one batched
-sweep each. Every point's verdict depends on that point alone, so the
-output does not depend on the block size, and repeated scans are
-byte-identical.
+point's spectra, majorization report and sector label come first, one point
+at a time; then one ``detect`` call runs the entropic detectors on the
+block's in-region points (the bisection predicates and ``analyze`` call it
+too). Every point's verdict depends on that point alone, so the output does
+not depend on the block size, and repeated scans are byte-identical.
 
 Sector labels are derived, not drawn: "outside" (positivity violated),
 "separable" (partial transpose PSD), "entangled" (negative PT eigenvalue,
@@ -16,7 +15,7 @@ partial-sum indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +110,6 @@ class ScanOptions:
     """Which detectors to run at each grid point, and their parameters."""
 
     side: str = "A"
-    von_neumann: bool = True
     tsallis: bool = True
     peaked: bool = True
     q_grid: np.ndarray | None = None
@@ -148,68 +146,64 @@ def _sector_label(in_region: bool, sigma: float, violated: tuple[int, ...]) -> s
     return "entangled-" + "".join(f"v{i}" for i in violated)
 
 
-def _point_spectra(spec: families.FamilySpec, numeric: bool) -> tuple[Spectrum, Spectrum, Spectrum]:
+def _point_spectra(spec: families.FamilySpec, numeric: bool, side: str) -> tuple[Spectrum, Spectrum]:
     if numeric:
         rho = families.build(spec)
-        return (
-            rho.spectrum(),
-            eigenvalues(partial_trace(rho, "A")),
-            eigenvalues(partial_trace(rho, "B")),
-        )
-    full = families.analytic_spectrum(spec)
-    reduced = families.analytic_reduced(spec)
-    return full, reduced, reduced
+        return rho.spectrum(), eigenvalues(partial_trace(rho, side))
+    return families.analytic_spectrum(spec), families.analytic_reduced(spec)
 
 
-def _alphas(reduced: Spectrum, options: ScanOptions) -> tuple[float, ...]:
-    """The peak locations searched at a point: the options' or the recommended ones."""
-    return criteria.recommended_alphas(reduced) if options.alphas is None else options.alphas
+def detect(
+    fulls, reduceds, options: ScanOptions
+) -> list[tuple[float, DetectionVerdict | None, DetectionVerdict | None]]:
+    """(von Neumann difference, Tsallis verdict, peaked verdict) of every
+    (full, reduced) spectrum pair; a verdict is None when ``options`` turns
+    its detector off. Each sweep runs once for all pairs, with peaks at
+    ``options.alphas``, or else at each pair's recommended alphas."""
+    vn = [conditional_from_spectra(EntropicFamily.von_neumann(), full, reduced,
+                                   options.side).difference
+          for full, reduced in zip(fulls, reduceds, strict=True)]
+    tsallis = peaked = [None] * len(vn)
+    if options.tsallis:
+        tsallis = criteria.tsallis_sweep_batch(fulls, reduceds, options.q_grid,
+                                               threshold=options.threshold)
+    if options.peaked:
+        alphas = [criteria.recommended_alphas(reduced) if options.alphas is None
+                  else options.alphas for reduced in reduceds]
+        peaked = criteria.peaked_search_batch(fulls, reduceds, alphas, options.ts,
+                                              options.threshold)
+    return list(zip(vn, tsallis, peaked))
 
 
 def _classify_block(points, options: ScanOptions) -> list[ScanRecord]:
     """Records of the (coords, spec) pairs of ``points``, in their order.
 
-    The per-point work runs first; the Tsallis and peaked detectors then run
-    once on all in-region points of the block.
+    The per-point work runs first; one ``detect`` call then covers all
+    in-region points of the block.
     """
-    staged = []  # (coords, spec, sigma, majorization report or None, vn)
+    staged = []  # (coords, spec, sigma, majorization report or None)
     fulls, reduceds = [], []
     for coords, spec in points:
         sigma = spec.y - spec.norm / 2.0
         if not spec.in_region():
-            staged.append((coords, spec, sigma, None, math.nan))
+            staged.append((coords, spec, sigma, None))
             continue
-        full, red_a, red_b = _point_spectra(spec, options.numeric)
-        reduced = red_a if options.side == "A" else red_b
-        report = criteria.majorization_compare(full, reduced, options.side,
-                                               options.majorization_tol)
-        vn = math.nan
-        if options.von_neumann:
-            vn = conditional_from_spectra(
-                EntropicFamily.von_neumann(), full, reduced, options.side
-            ).difference
-        staged.append((coords, spec, sigma, report, vn))
+        full, reduced = _point_spectra(spec, options.numeric, options.side)
+        staged.append((coords, spec, sigma, criteria.majorization_compare(
+            full, reduced, options.side, options.majorization_tol)))
         fulls.append(full)
         reduceds.append(reduced)
-    tsallis = peaked = iter(())
-    if options.tsallis:
-        tsallis = iter(criteria.tsallis_sweep_batch(fulls, reduceds, options.q_grid,
-                                                    threshold=options.threshold))
-    if options.peaked:
-        peaked = iter(criteria.peaked_search_batch(
-            fulls, reduceds, [_alphas(r, options) for r in reduceds], options.ts,
-            options.threshold,
-        ))
+    detected = iter(detect(fulls, reduceds, options))
     records = []
-    for coords, spec, sigma, report, vn in staged:
+    for coords, spec, sigma, report in staged:
         if report is None:
             records.append(ScanRecord(coords, spec.x, False, sigma, (), None, math.nan,
                                       None, None, _sector_label(False, sigma, ())))
             continue
+        vn, tsallis, peaked = next(detected)
         records.append(ScanRecord(
             coords, spec.x, True, sigma, report.violated_indices, report.first_violation,
-            vn, next(tsallis, None), next(peaked, None),
-            _sector_label(True, sigma, report.violated_indices),
+            vn, tsallis, peaked, _sector_label(True, sigma, report.violated_indices),
         ))
     return records
 
@@ -284,27 +278,20 @@ def _criterion_predicate(name: str, options: ScanOptions):
         return [bool(families.violation_predictor(spec, options.majorization_tol))
                 for spec in specs]
 
-    def spectra(specs):
-        pairs = [_point_spectra(spec, options.numeric)[:2] for spec in specs]
-        return [full for full, _ in pairs], [reduced for _, reduced in pairs]
+    # each entropic predicate runs only its own sweep
+    entropic_options = replace(options, tsallis=name == "tsallis", peaked=name == "peaked")
 
-    def vn(specs):
-        return [conditional_from_spectra(EntropicFamily.von_neumann(), full, reduced).difference
-                < options.threshold for full, reduced in zip(*spectra(specs))]
+    def entropic(specs):
+        pairs = [_point_spectra(spec, options.numeric, options.side) for spec in specs]
+        rows = detect([full for full, _ in pairs], [reduced for _, reduced in pairs],
+                      entropic_options)
+        if name == "vn":
+            return [vn < options.threshold for vn, _, _ in rows]
+        return [(tsallis if name == "tsallis" else peaked).detected
+                for _, tsallis, peaked in rows]
 
-    def tsallis(specs):
-        fulls, reduceds = spectra(specs)
-        return [verdict.detected for verdict in criteria.tsallis_sweep_batch(
-            fulls, reduceds, options.q_grid, threshold=options.threshold)]
-
-    def peaked(specs):
-        fulls, reduceds = spectra(specs)
-        return [verdict.detected for verdict in criteria.peaked_search_batch(
-            fulls, reduceds, [_alphas(r, options) for r in reduceds], options.ts,
-            options.threshold)]
-
-    table = {"peres": peres, "disorder": disorder, "vn": vn,
-             "tsallis": tsallis, "peaked": peaked}
+    table = {"peres": peres, "disorder": disorder, "vn": entropic,
+             "tsallis": entropic, "peaked": entropic}
     if name not in table:
         raise ValueError(f"unknown criterion {name!r}; choose from {sorted(table)}")
     return table[name]
@@ -379,7 +366,7 @@ def curve_sweep(
     axis = "q" sweeps the Tsallis index; "t" sweeps the peak sharpness at
     fixed alpha; "alpha" sweeps the peak location at fixed t.
     """
-    full, reduced, _ = _point_spectra(spec, numeric=False)
+    full, reduced = _point_spectra(spec, False, side)
     rows = []
     for v in np.asarray(values, dtype=float):
         if axis == "q":

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from majorlens import families
-from majorlens.cli import _analyze_rows, run
+from majorlens.cli import _analyze_rows, _build_parser, run
 from majorlens.scan import ScanOptions
 
 
@@ -244,3 +245,72 @@ def test_qgrid_flags(capsys):
     out = capsys.readouterr().out
     assert "tsallis      no-signal" in out
     assert "entangled" in out  # disorder still certifies
+
+
+def test_requests_in_one_process_match_solo_runs(capsys):
+    # the parser is built once per process; no parsed state may leak between calls
+    requests = [
+        ["scan", "--family", "d=3", "x=0,0", "--axis", "1=0.2:0.5:2",
+         "--axis", "2=0.2:0.5:2", "--no-tsallis"],
+        ["scan", "--family", "d=3", "x=0,0", "--axis", "1=0.2:0.5:2",
+         "--axis", "2=0.2:0.5:2"],
+        ["analyze", "--family", "d=3", "x=0.4,0.4"],
+    ]
+    solo = []
+    for argv in requests:
+        _build_parser.cache_clear()
+        code = run(argv)
+        solo.append((code, capsys.readouterr()))
+    _build_parser.cache_clear()
+    together = []
+    for argv in requests:
+        code = run(argv)
+        together.append((code, capsys.readouterr()))
+    assert together == solo
+    assert _build_parser() is _build_parser()
+    # the --no-tsallis flag changes the output, so a leaked flag would show
+    assert solo[0][1].out != solo[1][1].out
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["analyze", "--family", "d=3", "x=0.4,0.4"], "--ts"),
+    (["analyze", "--family", "d=3", "x=0.4,0.4"], "--alphas"),
+    (["threshold", "--d", "3", "--criterion", "peaked"], "--ts"),
+])
+@pytest.mark.parametrize("value", [",", ""])
+def test_empty_alpha_and_t_lists_rejected(capsys, command, flag, value):
+    # an empty list used to search nothing: analyze printed "no-signal,
+    # margin = inf" and threshold found no onset on the ray
+    assert run([*command, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} {value!r} lists no values" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("qrange", [["--qmin", "5", "--qmax", "0.1"], ["--qmax", "0.005"],
+                                    ["--qmin", "2", "--qmax", "2"]])
+def test_reversed_q_range_rejected(capsys, qrange):
+    # a reversed range used to invert the refinement brackets and skip them silently
+    assert run(["analyze", "--family", "d=3", "x=0.4,0.4", *qrange]) == 1
+    captured = capsys.readouterr()
+    assert "qmin < qmax" in captured.err
+    assert captured.out == ""
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("source, stem, code", [
+    (["--family", "d=3", "x=0.4,0.4"], "analyze_x0.4_0.4", 2),
+    (["--family", "d=3", "x=0.35,0.35"], "analyze_x0.35_0.35", 2),
+    (["--family", "d=3", "x=0.9,0"], "analyze_x0.9_0", 2),
+    (["--family", "d=3", "x=0.05,0.05"], "analyze_x0.05_0.05", 0),
+    (["--density", "density_3x3_rank4.json"], "analyze_density_3x3_rank4", 2),
+])
+@pytest.mark.parametrize("fmt, suffix", [("text", ".txt"), ("json", ".json")])
+def test_analyze_matches_golden_output(capsys, monkeypatch, source, stem, code, fmt, suffix):
+    # the fixtures were written before analyze called scan.detect; the density
+    # path is relative because the input line prints it
+    monkeypatch.chdir(GOLDEN)
+    assert run(["analyze", *source, "--format", fmt]) == code
+    assert capsys.readouterr().out == (GOLDEN / (stem + suffix)).read_text()
